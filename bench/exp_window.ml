@@ -55,7 +55,9 @@ let run () =
                 ~horizon_s:(7.0 *. Vod_workload.Trace.seconds_per_day)
                 ~bin_s:(Float.min 300.0 (Float.max 1.0 window_s)) ()
             in
-            Vod_sim.Sim.play metrics paths catalog fleet week0;
+            Vod_serve.Loop.play
+              (Vod_serve.Loop.create ~graph ~paths ~catalog ~fleet ())
+              metrics week0;
             let peak_series = Vod_sim.Metrics.peak_series metrics in
             let bin_s = metrics.Vod_sim.Metrics.bin_s in
             (* Max during the LP's chosen windows... *)

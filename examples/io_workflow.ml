@@ -63,8 +63,11 @@ let () =
       ()
   in
   let week2 = Vod_workload.Trace.between_days trace ~day_lo:7 ~day_hi:14 in
-  Vod_sim.Sim.play metrics sc.Vod_core.Scenario.paths sc.Vod_core.Scenario.catalog
-    fleet week2;
+  Vod_serve.Loop.play
+    (Vod_serve.Loop.create ~graph:sc.Vod_core.Scenario.graph
+       ~paths:sc.Vod_core.Scenario.paths ~catalog:sc.Vod_core.Scenario.catalog
+       ~fleet ())
+    metrics week2;
   Printf.printf
     "audit replay of week 2: %d requests, %.1f%% local, peak link %.0f Mb/s\n"
     metrics.Vod_sim.Metrics.requests

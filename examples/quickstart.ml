@@ -72,8 +72,11 @@ let () =
   let week2 =
     Vod_workload.Trace.between_days sc.Vod_core.Scenario.trace ~day_lo:7 ~day_hi:14
   in
-  Vod_sim.Sim.play metrics sc.Vod_core.Scenario.paths sc.Vod_core.Scenario.catalog
-    fleet week2;
+  Vod_serve.Loop.play
+    (Vod_serve.Loop.create ~graph:sc.Vod_core.Scenario.graph
+       ~paths:sc.Vod_core.Scenario.paths ~catalog:sc.Vod_core.Scenario.catalog
+       ~fleet ())
+    metrics week2;
   Printf.printf
     "\nweek-2 playout: %d requests, %.1f%% served locally, peak link %.0f Mb/s, %.0f GB x hop transferred\n"
     metrics.Vod_sim.Metrics.requests

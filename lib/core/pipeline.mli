@@ -31,12 +31,9 @@ type config = {
   bin_s : float;
   seed : int;
   resil : Vod_resil.Playout.config option;
-      (** [Some _] plays out through the fault-injecting engine
-          (lib/resil) instead of the legacy one *)
-  soa : bool;
-      (** play through the compact struct-of-arrays store
-          ({!Vod_workload.Trace_soa}) — byte-identical metrics, the
-          million-request memory profile *)
+      (** [Some _] serves through the serving loop's faulted
+          configuration (fault timeline, failover routing, capacity
+          tracking) instead of the direct one *)
 }
 
 (** 9 warm-up days, |T| = 2 one-hour windows, 5-minute bins, no faults. *)

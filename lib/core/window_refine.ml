@@ -42,7 +42,10 @@ let realized_overload (sc : Scenario.t) (inst : Vod_placement.Instance.t)
       ~horizon_s:(float_of_int days *. Vod_workload.Trace.seconds_per_day)
       ~bin_s:window_s ()
   in
-  Vod_sim.Sim.play metrics sc.Scenario.paths sc.Scenario.catalog fleet requests;
+  Vod_serve.Loop.play
+    (Vod_serve.Loop.create ~graph:sc.Scenario.graph ~paths:sc.Scenario.paths
+       ~catalog:sc.Scenario.catalog ~fleet ())
+    metrics requests;
   (* Per-bin worst utilization relative to each link's capacity. *)
   Array.init metrics.Vod_sim.Metrics.n_bins (fun b ->
       let worst = ref 0.0 in

@@ -1,21 +1,22 @@
-(* The unified serving engine: one event loop that drives a fleet with a
-   time-sorted request batch, in either of two configurations.
+(* The serving engine: one request loop over rows [lo, hi) of a
+   struct-of-arrays request store drives a fleet, in either of two
+   configurations.
 
-   - Direct: the legacy fixed-path playout (lib/sim/sim.ml) — every
-     request is served by the fleet's own choice over the precomputed
-     shortest paths, with no fault timeline and no capacity tracking.
-   - Faulted: the resilience playout (lib/resil/playout.ml) — a fault
-     timeline advances between requests, rejected/failover/degradation
-     accounting applies, and remote streams route through the
-     capacity-aware failover router.
+   - Direct: fixed-path playout — every request is served by the
+     fleet's own choice over the precomputed shortest paths, with no
+     fault timeline and no capacity tracking.
+   - Faulted: a fault timeline advances between requests,
+     rejected/failover/degradation accounting applies, and remote
+     streams route through the capacity-aware failover router.
 
-   Both configurations produce Vod_sim.Metrics byte-for-byte identical
-   to the legacy engines they replace (asserted by test/test_serve.ml);
-   the legacy modules stay in the tree as the comparison references.
-   The seams are pluggable by construction: the placement source is the
-   mutable [fleet] (swapped mid-run by the batch pipeline and the
-   re-placement daemon via [set_fleet]), and the router/capacity pair
-   arrives bundled in an optional [Vod_resil.Playout.config]. *)
+   Array callers ([play], [run]) copy their batch into a store first
+   (16 bytes per request) and share the same loop. Both configurations
+   produce Vod_sim.Metrics byte-for-byte identical to the reference
+   engines Vod_sim.Sim (direct) and Vod_resil.Playout (faulted),
+   asserted by test/test_serve.ml and test/test_soa.ml. The placement
+   source is the mutable [fleet] (swapped mid-run by the batch pipeline
+   and the re-placement daemon via [set_fleet]); the router/capacity
+   pair arrives bundled in an optional [Vod_resil.Playout.config]. *)
 
 module Obs = Vod_obs.Obs
 module Event = Vod_resil.Event
@@ -23,16 +24,17 @@ module State = Vod_resil.State
 module Capacity = Vod_resil.Capacity
 module Router = Vod_resil.Router
 module Playout = Vod_resil.Playout
+module Metrics = Vod_sim.Metrics
+module Trace_soa = Vod_workload.Trace_soa
 
-let src = Logs.Src.create "vod.serve" ~doc:"unified serving engine"
+let src = Logs.Src.create "vod.serve" ~doc:"serving engine"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* Fault-mode machinery plus per-request routing scratch. The scratch
-   fields replace the per-request ref cell and closures the legacy
-   playout allocates: [route] and [on_event] are built once at [create]
-   and read the current request's parameters out of the record, so the
-   request loop itself stays allocation-free (alloc-in-hot). *)
+(* Fault-mode machinery plus per-request routing scratch: [route] and
+   [on_event] are built once at [create] and read the current request's
+   parameters out of the record, so the request loop allocates no
+   closure or ref cell per request (alloc-in-hot). *)
 type faulted = {
   state : State.t;
   capacity : Capacity.t;
@@ -59,7 +61,12 @@ type t = {
   mutable fleet : Vod_cache.Fleet.t;
   faulted : faulted option;
   mutable finished : bool;
+  staging : Trace_soa.t;  (* array batches are played through this *)
 }
+
+(* Rows of the staging store: array batches are copied and served this
+   many requests at a time (64 KB of columns per loop). *)
+let staging_rows = 4096
 
 let close_window f ~now ~trigger =
   f.windows_rev <-
@@ -90,7 +97,7 @@ let apply_event f (e : Event.t) =
   close_window f ~now:e.Event.time_s ~trigger:(Event.kind_to_string e.Event.kind)
 
 (* Route the request whose parameters sit in the scratch fields; the
-   decision is parked for the stream-accounting step below. *)
+   decision is parked for the stream-accounting step. *)
 let route_scratch t f ~default =
   let d =
     Router.route f.router
@@ -102,6 +109,11 @@ let route_scratch t f ~default =
   match d with
   | Router.Served s -> Some s.Router.server
   | Router.Rejected _ -> None
+
+(* The direct configuration's route: the fleet's own fault-free choice,
+   exactly what [Fleet.serve] does. Toplevel, so it is not a closure
+   allocated per batch. *)
+let fleet_choice ~default = Some default
 
 let create ~graph ~paths ~catalog ~fleet ?resil () =
   let faulted =
@@ -138,12 +150,21 @@ let create ~graph ~paths ~catalog ~fleet ?resil () =
           cur_now = 0.0;
           cur_until = 0.0;
           decision = Router.Rejected Router.No_replica;
-          route = (fun ~default:_ -> None);
+          route = fleet_choice;
           on_event = (fun (_ : Event.t) -> ());
         })
       resil
   in
-  let t = { paths; catalog; fleet; faulted; finished = false } in
+  let t =
+    {
+      paths;
+      catalog;
+      fleet;
+      faulted;
+      finished = false;
+      staging = Trace_soa.create ~n_vhos:0 ~days:0 staging_rows;
+    }
+  in
   (match t.faulted with
   | Some f ->
       f.route <- (fun ~default -> route_scratch t f ~default);
@@ -173,430 +194,226 @@ let advance t ~now =
       ignore (State.advance f.state ~now ~on_event:f.on_event : int);
       Capacity.expire f.capacity ~now
 
-(* ---- direct configuration -------------------------------------------- *)
+(* One literal key per reason: concatenating the key per rejection
+   would allocate a string even with no registry installed. *)
+let rejection_key = function
+  | Router.Vho_down -> "serve/rejections/vho_down"
+  | Router.No_replica -> "serve/rejections/no_replica"
+  | Router.Unreachable -> "serve/rejections/unreachable"
+  | Router.No_capacity -> "serve/rejections/no_capacity"
 
-(* Field-for-field the body of Vod_sim.Sim.play: same serve call, same
-   counter updates, same float operation order in the stream accounting
-   (the byte-for-byte contract). *)
-let play_direct t metrics (requests : Vod_workload.Trace.request array) =
-  let track_per_vho =
-    Array.length metrics.Vod_sim.Metrics.per_vho_requests > 0
-  in
-  Array.iter
-    (fun (r : Vod_workload.Trace.request) ->
-      let now = r.Vod_workload.Trace.time_s in
-      let video = r.Vod_workload.Trace.video in
-      let vho = r.Vod_workload.Trace.vho in
-      let outcome = Vod_cache.Fleet.serve t.fleet ~video ~vho ~now in
-      let record = Vod_sim.Metrics.in_record_window metrics now in
-      if record then begin
-        metrics.Vod_sim.Metrics.requests <- metrics.Vod_sim.Metrics.requests + 1;
-        if track_per_vho then
-          metrics.Vod_sim.Metrics.per_vho_requests.(vho) <-
-            metrics.Vod_sim.Metrics.per_vho_requests.(vho) + 1;
-        if outcome.Vod_cache.Fleet.local then begin
-          metrics.Vod_sim.Metrics.local_served <-
-            metrics.Vod_sim.Metrics.local_served + 1;
-          if track_per_vho then
-            metrics.Vod_sim.Metrics.per_vho_local.(vho) <-
-              metrics.Vod_sim.Metrics.per_vho_local.(vho) + 1;
-          if outcome.Vod_cache.Fleet.cache_hit then
-            metrics.Vod_sim.Metrics.cache_hits <-
-              metrics.Vod_sim.Metrics.cache_hits + 1
-        end
-        else begin
-          metrics.Vod_sim.Metrics.remote_served <-
-            metrics.Vod_sim.Metrics.remote_served + 1;
-          if outcome.Vod_cache.Fleet.not_cachable then
-            metrics.Vod_sim.Metrics.not_cachable <-
-              metrics.Vod_sim.Metrics.not_cachable + 1
-        end
-      end;
-      if not outcome.Vod_cache.Fleet.local then begin
-        let server = outcome.Vod_cache.Fleet.server in
-        let v = Vod_workload.Catalog.video t.catalog video in
-        let rate = Vod_workload.Video.rate_mbps v in
-        let dur = Vod_workload.Video.duration_s v in
-        let links = Vod_topology.Paths.path_links t.paths ~src:server ~dst:vho in
-        (* Explicit loop: an [Array.iter] lambda here is a fresh closure
-           per remote request, in the hottest loop (alloc-in-hot). *)
-        let t1 = now +. dur in
-        for i = 0 to Array.length links - 1 do
-          Vod_sim.Metrics.add_stream metrics ~link:links.(i) ~rate_mbps:rate
-            ~t0:now ~t1
-        done;
-        if record then begin
-          let hops =
-            float_of_int (Vod_topology.Paths.hops t.paths ~src:server ~dst:vho)
-          in
-          let gb = Vod_workload.Video.size_gb v in
-          metrics.Vod_sim.Metrics.total_gb_hops <-
-            metrics.Vod_sim.Metrics.total_gb_hops +. (gb *. hops);
-          metrics.Vod_sim.Metrics.total_gb_remote <-
-            metrics.Vod_sim.Metrics.total_gb_remote +. gb
-        end
-      end)
-    requests
-
-(* Columnar twin of [play_direct]: rows [lo, hi) of a struct-of-arrays
-   store, iterated by index — no boxed request, no per-row closure, the
-   same serve call and float operation order, so the metrics are
-   byte-for-byte those of [play_direct] on the equivalent slice
-   (asserted by test/test_soa.ml). Kept field-for-field in sync with
-   [play_direct] above. *)
-let play_direct_soa t metrics (soa : Vod_workload.Trace_soa.t) ~lo ~hi =
-  let track_per_vho =
-    Array.length metrics.Vod_sim.Metrics.per_vho_requests > 0
-  in
-  for i = lo to hi - 1 do
-    let now = Vod_workload.Trace_soa.time soa i in
-    let video = Vod_workload.Trace_soa.video soa i in
-    let vho = Vod_workload.Trace_soa.vho soa i in
-    let outcome = Vod_cache.Fleet.serve t.fleet ~video ~vho ~now in
-    let record = Vod_sim.Metrics.in_record_window metrics now in
-    if record then begin
-      metrics.Vod_sim.Metrics.requests <- metrics.Vod_sim.Metrics.requests + 1;
-      if track_per_vho then
-        metrics.Vod_sim.Metrics.per_vho_requests.(vho) <-
-          metrics.Vod_sim.Metrics.per_vho_requests.(vho) + 1;
-      if outcome.Vod_cache.Fleet.local then begin
-        metrics.Vod_sim.Metrics.local_served <-
-          metrics.Vod_sim.Metrics.local_served + 1;
-        if track_per_vho then
-          metrics.Vod_sim.Metrics.per_vho_local.(vho) <-
-            metrics.Vod_sim.Metrics.per_vho_local.(vho) + 1;
-        if outcome.Vod_cache.Fleet.cache_hit then
-          metrics.Vod_sim.Metrics.cache_hits <-
-            metrics.Vod_sim.Metrics.cache_hits + 1
-      end
-      else begin
-        metrics.Vod_sim.Metrics.remote_served <-
-          metrics.Vod_sim.Metrics.remote_served + 1;
-        if outcome.Vod_cache.Fleet.not_cachable then
-          metrics.Vod_sim.Metrics.not_cachable <-
-            metrics.Vod_sim.Metrics.not_cachable + 1
-      end
-    end;
-    if not outcome.Vod_cache.Fleet.local then begin
-      let server = outcome.Vod_cache.Fleet.server in
-      let v = Vod_workload.Catalog.video t.catalog video in
-      let rate = Vod_workload.Video.rate_mbps v in
-      let dur = Vod_workload.Video.duration_s v in
-      let links = Vod_topology.Paths.path_links t.paths ~src:server ~dst:vho in
-      let t1 = now +. dur in
-      for l = 0 to Array.length links - 1 do
-        Vod_sim.Metrics.add_stream metrics ~link:links.(l) ~rate_mbps:rate
-          ~t0:now ~t1
-      done;
-      if record then begin
-        let hops =
-          float_of_int (Vod_topology.Paths.hops t.paths ~src:server ~dst:vho)
-        in
-        let gb = Vod_workload.Video.size_gb v in
-        metrics.Vod_sim.Metrics.total_gb_hops <-
-          metrics.Vod_sim.Metrics.total_gb_hops +. (gb *. hops);
-        metrics.Vod_sim.Metrics.total_gb_remote <-
-          metrics.Vod_sim.Metrics.total_gb_remote +. gb
-      end
-    end
-  done
-
-(* ---- faulted configuration ------------------------------------------- *)
-
-let reject_obs reason =
-  Obs.incr "serve/rejections";
-  Obs.incr ("serve/rejections/" ^ Router.reject_reason_to_string reason)
-
-let account_reject (metrics : Vod_sim.Metrics.t) (reason : Router.reject_reason)
-    =
-  let deg = metrics.Vod_sim.Metrics.deg in
-  deg.Vod_sim.Metrics.rejections <- deg.Vod_sim.Metrics.rejections + 1;
+let account_reject (metrics : Metrics.t) f (reason : Router.reject_reason) =
+  let deg = metrics.Metrics.deg in
+  deg.Metrics.rejections <- deg.Metrics.rejections + 1;
   (match reason with
   | Router.Vho_down ->
-      deg.Vod_sim.Metrics.rejected_vho_down <-
-        deg.Vod_sim.Metrics.rejected_vho_down + 1
+      deg.Metrics.rejected_vho_down <- deg.Metrics.rejected_vho_down + 1
   | Router.No_replica ->
-      deg.Vod_sim.Metrics.rejected_no_replica <-
-        deg.Vod_sim.Metrics.rejected_no_replica + 1
+      deg.Metrics.rejected_no_replica <- deg.Metrics.rejected_no_replica + 1
   | Router.Unreachable ->
-      deg.Vod_sim.Metrics.rejected_unreachable <-
-        deg.Vod_sim.Metrics.rejected_unreachable + 1
+      deg.Metrics.rejected_unreachable <- deg.Metrics.rejected_unreachable + 1
   | Router.No_capacity ->
-      deg.Vod_sim.Metrics.rejected_no_capacity <-
-        deg.Vod_sim.Metrics.rejected_no_capacity + 1);
-  reject_obs reason
+      deg.Metrics.rejected_no_capacity <- deg.Metrics.rejected_no_capacity + 1);
+  f.win_rejections <- f.win_rejections + 1;
+  Obs.incr "serve/rejections";
+  Obs.incr (rejection_key reason)
+
+(* The router's record for a stream [serve_routed] accepted: [route]
+   said yes, so the parked decision is [Served]. *)
+let served_decision f =
+  match f.decision with
+  | Router.Served s -> s
+  | Router.Rejected _ ->
+      invalid_arg "Loop.play: served without a routing decision"
+
+(* Failover and origin accounting of one recorded remote stream. *)
+let account_served (metrics : Metrics.t) f (s : Router.served) ~surge =
+  let deg = metrics.Metrics.deg in
+  if surge > 1.0 then Obs.incr "serve/surged_streams";
+  if s.Router.failover then begin
+    deg.Metrics.failovers <- deg.Metrics.failovers + 1;
+    deg.Metrics.failover_extra_hops <-
+      deg.Metrics.failover_extra_hops + s.Router.extra_hops;
+    f.win_failovers <- f.win_failovers + 1;
+    Obs.incr "serve/failovers";
+    if s.Router.extra_hops > 0 then
+      Obs.incr ~by:s.Router.extra_hops "serve/failover_extra_hops"
+  end;
+  if s.Router.via_origin then begin
+    deg.Metrics.origin_served <- deg.Metrics.origin_served + 1;
+    Obs.incr "serve/origin_served"
+  end
 
 (* Hoisted out of the request loop (alloc-in-hot): a local definition
    per request would allocate a closure per request. *)
 let count_request metrics ~track_per_vho ~vho =
-  metrics.Vod_sim.Metrics.requests <- metrics.Vod_sim.Metrics.requests + 1;
+  metrics.Metrics.requests <- metrics.Metrics.requests + 1;
   if track_per_vho then
-    metrics.Vod_sim.Metrics.per_vho_requests.(vho) <-
-      metrics.Vod_sim.Metrics.per_vho_requests.(vho) + 1
+    metrics.Metrics.per_vho_requests.(vho) <-
+      metrics.Metrics.per_vho_requests.(vho) + 1
 
-(* Field-for-field the body of Vod_resil.Playout.play, with the
-   per-request ref/closure pair replaced by the scratch fields. *)
-let play_faulted t f metrics (requests : Vod_workload.Trace.request array) =
-  let track_per_vho =
-    Array.length metrics.Vod_sim.Metrics.per_vho_requests > 0
-  in
-  let deg = metrics.Vod_sim.Metrics.deg in
-  Array.iter
-    (fun (r : Vod_workload.Trace.request) ->
-      let now = r.Vod_workload.Trace.time_s in
-      let video = r.Vod_workload.Trace.video in
-      let vho = r.Vod_workload.Trace.vho in
-      ignore (State.advance f.state ~now ~on_event:f.on_event : int);
-      Capacity.expire f.capacity ~now;
-      let record = Vod_sim.Metrics.in_record_window metrics now in
-      if record then f.win_requests <- f.win_requests + 1;
-      if not (State.vho_up f.state vho) then begin
-        (* The requesting VHO is dark: nobody there to serve. *)
-        if record then begin
-          count_request metrics ~track_per_vho ~vho;
-          account_reject metrics Router.Vho_down;
-          f.win_rejections <- f.win_rejections + 1
-        end
-      end
-      else begin
-        let v = Vod_workload.Catalog.video t.catalog video in
-        let surge = State.surge f.state vho in
-        let rate = Vod_workload.Video.rate_mbps v *. surge in
-        let dur = Vod_workload.Video.duration_s v in
-        f.cur_video <- video;
-        f.cur_vho <- vho;
-        f.cur_rate <- rate;
-        f.cur_now <- now;
-        f.cur_until <- now +. dur;
-        f.decision <- Router.Rejected Router.No_replica;
-        match
-          Vod_cache.Fleet.serve_routed t.fleet ~video ~vho ~now ~route:f.route
-        with
-        | Some outcome ->
-            if record then begin
-              count_request metrics ~track_per_vho ~vho;
-              if outcome.Vod_cache.Fleet.local then begin
-                metrics.Vod_sim.Metrics.local_served <-
-                  metrics.Vod_sim.Metrics.local_served + 1;
-                if track_per_vho then
-                  metrics.Vod_sim.Metrics.per_vho_local.(vho) <-
-                    metrics.Vod_sim.Metrics.per_vho_local.(vho) + 1;
-                if outcome.Vod_cache.Fleet.cache_hit then
-                  metrics.Vod_sim.Metrics.cache_hits <-
-                    metrics.Vod_sim.Metrics.cache_hits + 1
-              end
-              else begin
-                metrics.Vod_sim.Metrics.remote_served <-
-                  metrics.Vod_sim.Metrics.remote_served + 1;
-                if outcome.Vod_cache.Fleet.not_cachable then
-                  metrics.Vod_sim.Metrics.not_cachable <-
-                    metrics.Vod_sim.Metrics.not_cachable + 1
-              end
-            end;
-            if not outcome.Vod_cache.Fleet.local then begin
-              match f.decision with
-              | Router.Served s ->
-                  (* Explicit loop: an [Array.iter] lambda here is a
-                     fresh closure per served remote request
-                     (alloc-in-hot). *)
-                  let t1 = now +. dur in
-                  let links = s.Router.links in
-                  for i = 0 to Array.length links - 1 do
-                    Vod_sim.Metrics.add_stream metrics ~link:links.(i)
-                      ~rate_mbps:rate ~t0:now ~t1
-                  done;
-                  if record then begin
-                    let hops = float_of_int s.Router.hops in
-                    let gb = Vod_workload.Video.size_gb v *. surge in
-                    metrics.Vod_sim.Metrics.total_gb_hops <-
-                      metrics.Vod_sim.Metrics.total_gb_hops +. (gb *. hops);
-                    metrics.Vod_sim.Metrics.total_gb_remote <-
-                      metrics.Vod_sim.Metrics.total_gb_remote +. gb;
-                    if surge > 1.0 then Obs.incr "serve/surged_streams";
-                    if s.Router.failover then begin
-                      deg.Vod_sim.Metrics.failovers <-
-                        deg.Vod_sim.Metrics.failovers + 1;
-                      deg.Vod_sim.Metrics.failover_extra_hops <-
-                        deg.Vod_sim.Metrics.failover_extra_hops
-                        + s.Router.extra_hops;
-                      f.win_failovers <- f.win_failovers + 1;
-                      Obs.incr "serve/failovers";
-                      if s.Router.extra_hops > 0 then
-                        Obs.incr ~by:s.Router.extra_hops
-                          "serve/failover_extra_hops"
-                    end;
-                    if s.Router.via_origin then begin
-                      deg.Vod_sim.Metrics.origin_served <-
-                        deg.Vod_sim.Metrics.origin_served + 1;
-                      Obs.incr "serve/origin_served"
-                    end
-                  end
-              | Router.Rejected _ ->
-                  (* serve_routed returned an outcome, so route said yes *)
-                  invalid_arg "Loop.play: served without a routing decision"
-            end
-        | None ->
-            if record then begin
-              count_request metrics ~track_per_vho ~vho;
-              (match f.decision with
-              | Router.Rejected reason -> account_reject metrics reason
-              | Router.Served _ ->
-                  invalid_arg "Loop.play: rejected with a serving decision");
-              f.win_rejections <- f.win_rejections + 1
-            end
-      end)
-    requests
+(* Park the request's routing parameters in the scratch fields read by
+   [f.route]; returns the VHO's demand multiplier. *)
+let park_request t f ~video ~vho ~now =
+  let v = Vod_workload.Catalog.video t.catalog video in
+  let surge = State.surge f.state vho in
+  f.cur_video <- video;
+  f.cur_vho <- vho;
+  f.cur_rate <- Vod_workload.Video.rate_mbps v *. surge;
+  f.cur_now <- now;
+  f.cur_until <- now +. Vod_workload.Video.duration_s v;
+  f.decision <- Router.Rejected Router.No_replica;
+  surge
 
-(* Columnar twin of [play_faulted]: rows [lo, hi) of a struct-of-arrays
-   store by index. The scratch fields and prebuilt [f.route]/[f.on_event]
-   closures already make the boxed loop allocation-free per request;
-   here the boxed request itself goes too. Kept field-for-field in sync
-   with [play_faulted] above. *)
-let play_faulted_soa t f metrics (soa : Vod_workload.Trace_soa.t) ~lo ~hi =
-  let track_per_vho =
-    Array.length metrics.Vod_sim.Metrics.per_vho_requests > 0
+(* The request loop: rows [lo, hi) of [soa], iterated by index. The
+   faulted configuration adds three things: before serving, the timeline
+   advances, reservations expire, the window counts the request and a
+   dark VHO rejects it; routing goes through the failover router; and a
+   remote stream's links, hops, rate and end time come from the
+   router's decision and the parked request instead of the fixed paths
+   and the catalog. Direct mode runs with [surge = 1.0], and
+   [x *. 1.0 = x] exactly, so the float operation order is that of both
+   reference engines. Per-stream work (catalog lookup, path) is done
+   only for remote streams, as the fixed-path reference does. *)
+let serve_rows t metrics (soa : Trace_soa.t) ~lo ~hi =
+  let track_per_vho = Array.length metrics.Metrics.per_vho_requests > 0 in
+  let route =
+    match t.faulted with None -> fleet_choice | Some f -> f.route
   in
-  let deg = metrics.Vod_sim.Metrics.deg in
   for i = lo to hi - 1 do
-    let now = Vod_workload.Trace_soa.time soa i in
-    let video = Vod_workload.Trace_soa.video soa i in
-    let vho = Vod_workload.Trace_soa.vho soa i in
-    ignore (State.advance f.state ~now ~on_event:f.on_event : int);
-    Capacity.expire f.capacity ~now;
-    let record = Vod_sim.Metrics.in_record_window metrics now in
-    if record then f.win_requests <- f.win_requests + 1;
-    if not (State.vho_up f.state vho) then begin
+    let now = Trace_soa.time soa i in
+    let video = Trace_soa.video soa i in
+    let vho = Trace_soa.vho soa i in
+    let record = Metrics.in_record_window metrics now in
+    let up =
+      match t.faulted with
+      | None -> true
+      | Some f ->
+          ignore (State.advance f.state ~now ~on_event:f.on_event : int);
+          Capacity.expire f.capacity ~now;
+          if record then f.win_requests <- f.win_requests + 1;
+          State.vho_up f.state vho
+    in
+    if not up then begin
       (* The requesting VHO is dark: nobody there to serve. *)
-      if record then begin
-        count_request metrics ~track_per_vho ~vho;
-        account_reject metrics Router.Vho_down;
-        f.win_rejections <- f.win_rejections + 1
-      end
+      if record then
+        match t.faulted with
+        | Some f ->
+            count_request metrics ~track_per_vho ~vho;
+            account_reject metrics f Router.Vho_down
+        | None -> ()
     end
     else begin
-      let v = Vod_workload.Catalog.video t.catalog video in
-      let surge = State.surge f.state vho in
-      let rate = Vod_workload.Video.rate_mbps v *. surge in
-      let dur = Vod_workload.Video.duration_s v in
-      f.cur_video <- video;
-      f.cur_vho <- vho;
-      f.cur_rate <- rate;
-      f.cur_now <- now;
-      f.cur_until <- now +. dur;
-      f.decision <- Router.Rejected Router.No_replica;
-      match
-        Vod_cache.Fleet.serve_routed t.fleet ~video ~vho ~now ~route:f.route
-      with
+      let surge =
+        match t.faulted with
+        | None -> 1.0
+        | Some f -> park_request t f ~video ~vho ~now
+      in
+      match Vod_cache.Fleet.serve_routed t.fleet ~video ~vho ~now ~route with
       | Some outcome ->
           if record then begin
             count_request metrics ~track_per_vho ~vho;
             if outcome.Vod_cache.Fleet.local then begin
-              metrics.Vod_sim.Metrics.local_served <-
-                metrics.Vod_sim.Metrics.local_served + 1;
+              metrics.Metrics.local_served <- metrics.Metrics.local_served + 1;
               if track_per_vho then
-                metrics.Vod_sim.Metrics.per_vho_local.(vho) <-
-                  metrics.Vod_sim.Metrics.per_vho_local.(vho) + 1;
+                metrics.Metrics.per_vho_local.(vho) <-
+                  metrics.Metrics.per_vho_local.(vho) + 1;
               if outcome.Vod_cache.Fleet.cache_hit then
-                metrics.Vod_sim.Metrics.cache_hits <-
-                  metrics.Vod_sim.Metrics.cache_hits + 1
+                metrics.Metrics.cache_hits <- metrics.Metrics.cache_hits + 1
             end
             else begin
-              metrics.Vod_sim.Metrics.remote_served <-
-                metrics.Vod_sim.Metrics.remote_served + 1;
+              metrics.Metrics.remote_served <-
+                metrics.Metrics.remote_served + 1;
               if outcome.Vod_cache.Fleet.not_cachable then
-                metrics.Vod_sim.Metrics.not_cachable <-
-                  metrics.Vod_sim.Metrics.not_cachable + 1
+                metrics.Metrics.not_cachable <- metrics.Metrics.not_cachable + 1
             end
           end;
           if not outcome.Vod_cache.Fleet.local then begin
-            match f.decision with
-            | Router.Served s ->
-                let t1 = now +. dur in
-                let links = s.Router.links in
-                for l = 0 to Array.length links - 1 do
-                  Vod_sim.Metrics.add_stream metrics ~link:links.(l)
-                    ~rate_mbps:rate ~t0:now ~t1
-                done;
-                if record then begin
-                  let hops = float_of_int s.Router.hops in
-                  let gb = Vod_workload.Video.size_gb v *. surge in
-                  metrics.Vod_sim.Metrics.total_gb_hops <-
-                    metrics.Vod_sim.Metrics.total_gb_hops +. (gb *. hops);
-                  metrics.Vod_sim.Metrics.total_gb_remote <-
-                    metrics.Vod_sim.Metrics.total_gb_remote +. gb;
-                  if surge > 1.0 then Obs.incr "serve/surged_streams";
-                  if s.Router.failover then begin
-                    deg.Vod_sim.Metrics.failovers <-
-                      deg.Vod_sim.Metrics.failovers + 1;
-                    deg.Vod_sim.Metrics.failover_extra_hops <-
-                      deg.Vod_sim.Metrics.failover_extra_hops
-                      + s.Router.extra_hops;
-                    f.win_failovers <- f.win_failovers + 1;
-                    Obs.incr "serve/failovers";
-                    if s.Router.extra_hops > 0 then
-                      Obs.incr ~by:s.Router.extra_hops
-                        "serve/failover_extra_hops"
-                  end;
-                  if s.Router.via_origin then begin
-                    deg.Vod_sim.Metrics.origin_served <-
-                      deg.Vod_sim.Metrics.origin_served + 1;
-                    Obs.incr "serve/origin_served"
-                  end
-                end
-            | Router.Rejected _ ->
-                (* serve_routed returned an outcome, so route said yes *)
-                invalid_arg "Loop.play_soa: served without a routing decision"
+            let server = outcome.Vod_cache.Fleet.server in
+            let v = Vod_workload.Catalog.video t.catalog video in
+            (match t.faulted with
+            | None ->
+                Metrics.add_path_stream metrics
+                  ~links:(Vod_topology.Paths.path_links t.paths ~src:server ~dst:vho)
+                  ~rate_mbps:(Vod_workload.Video.rate_mbps v) ~t0:now
+                  ~t1:(now +. Vod_workload.Video.duration_s v)
+            | Some f ->
+                Metrics.add_path_stream metrics
+                  ~links:(served_decision f).Router.links ~rate_mbps:f.cur_rate
+                  ~t0:now ~t1:f.cur_until);
+            if record then begin
+              let hops =
+                match t.faulted with
+                | None -> Vod_topology.Paths.hops t.paths ~src:server ~dst:vho
+                | Some f -> (served_decision f).Router.hops
+              in
+              let gb = Vod_workload.Video.size_gb v *. surge in
+              metrics.Metrics.total_gb_hops <-
+                metrics.Metrics.total_gb_hops +. (gb *. float_of_int hops);
+              metrics.Metrics.total_gb_remote <-
+                metrics.Metrics.total_gb_remote +. gb;
+              match t.faulted with
+              | None -> ()
+              | Some f -> account_served metrics f (served_decision f) ~surge
+            end
           end
       | None ->
-          if record then begin
-            count_request metrics ~track_per_vho ~vho;
-            (match f.decision with
-            | Router.Rejected reason -> account_reject metrics reason
-            | Router.Served _ ->
-                invalid_arg "Loop.play_soa: rejected with a serving decision");
-            f.win_rejections <- f.win_rejections + 1
-          end
+          (* Only the failover router rejects; [fleet_choice] never does. *)
+          if record then
+            match t.faulted with
+            | Some f ->
+                count_request metrics ~track_per_vho ~vho;
+                account_reject metrics f
+                  (match f.decision with
+                  | Router.Rejected reason -> reason
+                  | Router.Served _ ->
+                      invalid_arg "Loop.play: rejected with a serving decision")
+            | None -> ()
     end
   done
 
-(* ---- common entry points --------------------------------------------- *)
+(* ---- entry points ------------------------------------------------------ *)
 
+(* Array batches are validated exactly as before (so error messages are
+   unchanged), then copied in array order into the loop's fixed staging
+   store and served chunk by chunk. Serving state carries across
+   [serve_rows] calls, so chunking does not change the result; a store
+   sized to the batch would cost a fresh off-heap allocation (and the
+   major-GC work its size accounts for) per batch. *)
 let play t metrics (requests : Vod_workload.Trace.request array) =
-  Vod_sim.Metrics.validate_vhos metrics requests;
-  if Obs.active () then
-    Obs.incr ~by:(Array.length requests) "serve/requests";
-  match t.faulted with
-  | None -> play_direct t metrics requests
-  | Some f -> play_faulted t f metrics requests
+  Metrics.validate_vhos metrics requests;
+  let n = Array.length requests in
+  if Obs.active () then Obs.incr ~by:n "serve/requests";
+  for chunk = 0 to ((n + staging_rows - 1) / staging_rows) - 1 do
+    let pos = chunk * staging_rows in
+    let len = min staging_rows (n - pos) in
+    Trace_soa.blit_requests requests ~pos ~len t.staging;
+    serve_rows t metrics t.staging ~lo:0 ~hi:len
+  done
 
-(* Columnar entry point: play rows [lo, hi) of a compact store through
-   whichever configuration the loop was created with. *)
-let play_soa t metrics (soa : Vod_workload.Trace_soa.t) ~lo ~hi =
-  if lo < 0 || hi < lo || hi > Vod_workload.Trace_soa.length soa then
+let play_soa t metrics (soa : Trace_soa.t) ~lo ~hi =
+  if lo < 0 || hi < lo || hi > Trace_soa.length soa then
     invalid_arg "Loop.play_soa: range out of bounds";
-  Vod_sim.Metrics.validate_store metrics soa;
+  Metrics.validate_store metrics soa;
   if Obs.active () then Obs.incr ~by:(hi - lo) "serve/requests";
-  match t.faulted with
-  | None -> play_direct_soa t metrics soa ~lo ~hi
-  | Some f -> play_faulted_soa t f metrics soa ~lo ~hi
+  serve_rows t metrics soa ~lo ~hi
 
 (* Drain the remaining schedule, close saturation intervals and the last
    window, and publish the end-of-run gauges. Idempotent; a no-op in the
    direct configuration, which has no timeline to drain. *)
-let finish t (metrics : Vod_sim.Metrics.t) =
+let finish t (metrics : Metrics.t) =
   if not t.finished then begin
     t.finished <- true;
     match t.faulted with
     | None -> ()
     | Some f ->
         let horizon =
-          float_of_int metrics.Vod_sim.Metrics.n_bins
-          *. metrics.Vod_sim.Metrics.bin_s
+          float_of_int metrics.Metrics.n_bins *. metrics.Metrics.bin_s
         in
         ignore (State.advance f.state ~now:horizon ~on_event:f.on_event : int);
         Capacity.expire f.capacity ~now:horizon;
         Capacity.finish f.capacity ~now:horizon;
-        metrics.Vod_sim.Metrics.deg.Vod_sim.Metrics.link_saturated_s <-
+        metrics.Metrics.deg.Metrics.link_saturated_s <-
           Capacity.saturated_seconds f.capacity;
         Obs.set_gauge "serve/link_saturated_seconds"
           (Capacity.saturated_seconds f.capacity);
@@ -606,58 +423,39 @@ let finish t (metrics : Vod_sim.Metrics.t) =
 let windows t =
   match t.faulted with None -> [] | Some f -> List.rev f.windows_rev
 
-(* One-shot playout of a full trace; mirrors Vod_sim.Sim.run's metrics
-   creation so the fault-free configurations coincide. *)
-let run ~graph ~paths ~catalog ~fleet ~trace ?(bin_s = 300.0)
-    ?(record_from = 0.0) ?resil () =
-  let horizon_s =
-    float_of_int trace.Vod_workload.Trace.days
-    *. Vod_workload.Trace.seconds_per_day
-  in
+(* One-shot playout of [days] of requests through [play_all]; metrics
+   creation matches Vod_sim.Sim.run's, so the configurations coincide
+   with the reference engines. *)
+let run_days ~graph ~paths ~catalog ~fleet ~days ~bin_s ~record_from ?resil
+    play_all =
+  let horizon_s = float_of_int days *. Vod_workload.Trace.seconds_per_day in
   let metrics =
-    Vod_sim.Metrics.create
+    Metrics.create
       ~n_links:(Vod_topology.Graph.n_links graph)
       ~n_vhos:(Vod_topology.Graph.n_nodes graph)
       ~horizon_s ~bin_s ~record_from ()
   in
   let t = create ~graph ~paths ~catalog ~fleet ?resil () in
-  (* [play] can raise (request validation); [finish] is idempotent, so
+  (* Playing can raise (request validation); [finish] is idempotent, so
      settling the capacity ledger under Fun.protect keeps the normal
      path byte-identical while closing it on the exceptional one. *)
-  Fun.protect
-    ~finally:(fun () -> finish t metrics)
-    (fun () -> play t metrics trace.Vod_workload.Trace.requests);
+  Fun.protect ~finally:(fun () -> finish t metrics) (fun () -> play_all t metrics);
   Log.info (fun m ->
       m "%s: %d requests, local %.1f%%, %d rejections, peak link %.0f Mb/s"
-        (Vod_cache.Fleet.name fleet) metrics.Vod_sim.Metrics.requests
-        (100.0 *. Vod_sim.Metrics.local_fraction metrics)
-        metrics.Vod_sim.Metrics.deg.Vod_sim.Metrics.rejections
-        (Vod_sim.Metrics.max_link_mbps metrics));
+        (Vod_cache.Fleet.name fleet) metrics.Metrics.requests
+        (100.0 *. Metrics.local_fraction metrics)
+        metrics.Metrics.deg.Metrics.rejections
+        (Metrics.max_link_mbps metrics));
   (metrics, windows t)
 
-(* Columnar twin of [run]: one-shot playout of a full compact store. *)
+let run ~graph ~paths ~catalog ~fleet ~trace ?(bin_s = 300.0)
+    ?(record_from = 0.0) ?resil () =
+  run_days ~graph ~paths ~catalog ~fleet ~days:trace.Vod_workload.Trace.days
+    ~bin_s ~record_from ?resil (fun t metrics ->
+      play t metrics trace.Vod_workload.Trace.requests)
+
 let run_soa ~graph ~paths ~catalog ~fleet ~store ?(bin_s = 300.0)
     ?(record_from = 0.0) ?resil () =
-  let horizon_s =
-    float_of_int store.Vod_workload.Trace_soa.days
-    *. Vod_workload.Trace.seconds_per_day
-  in
-  let metrics =
-    Vod_sim.Metrics.create
-      ~n_links:(Vod_topology.Graph.n_links graph)
-      ~n_vhos:(Vod_topology.Graph.n_nodes graph)
-      ~horizon_s ~bin_s ~record_from ()
-  in
-  let t = create ~graph ~paths ~catalog ~fleet ?resil () in
-  Fun.protect
-    ~finally:(fun () -> finish t metrics)
-    (fun () ->
-      play_soa t metrics store ~lo:0
-        ~hi:(Vod_workload.Trace_soa.length store));
-  Log.info (fun m ->
-      m "%s: %d requests, local %.1f%%, %d rejections, peak link %.0f Mb/s"
-        (Vod_cache.Fleet.name fleet) metrics.Vod_sim.Metrics.requests
-        (100.0 *. Vod_sim.Metrics.local_fraction metrics)
-        metrics.Vod_sim.Metrics.deg.Vod_sim.Metrics.rejections
-        (Vod_sim.Metrics.max_link_mbps metrics));
-  (metrics, windows t)
+  run_days ~graph ~paths ~catalog ~fleet ~days:store.Trace_soa.days ~bin_s
+    ~record_from ?resil (fun t metrics ->
+      play_soa t metrics store ~lo:0 ~hi:(Trace_soa.length store))

@@ -1,17 +1,23 @@
-(** The unified serving engine: one event loop behind both the legacy
-    fixed-path playout ([Vod_sim.Sim]) and the fault-injecting
-    resilience playout ([Vod_resil.Playout]), each now a configuration
-    of the same loop. The placement source is the mutable fleet
-    ({!set_fleet} swaps placements mid-run); the router and capacity
-    model plug in through an optional [Vod_resil.Playout.config]. Both
-    configurations reproduce the legacy engines' metrics byte-for-byte
-    (asserted by test/test_serve.ml); telemetry goes to the [serve/*]
-    keys (METRICS.md). *)
+(** The serving engine: one request loop, over rows of a compact
+    struct-of-arrays store ({!Vod_workload.Trace_soa}), in two
+    configurations. The direct configuration serves every request by
+    the fleet's own choice over the fixed paths; the faulted one adds a
+    fault timeline, capacity tracking and failover routing, plugged in
+    through an optional [Vod_resil.Playout.config]. Array batches
+    ({!play}, {!run}) are copied into a store and served by the same
+    loop. The placement source is the mutable fleet ({!set_fleet} swaps
+    placements mid-run).
+
+    Both configurations reproduce the reference engines byte-for-byte:
+    [Vod_sim.Sim] (direct) and [Vod_resil.Playout] (faulted), which
+    are kept only for that comparison (test/test_serve.ml,
+    test/test_soa.ml). Telemetry goes to the [serve/*] keys
+    (METRICS.md). *)
 
 type t
 
 (** [create ~graph ~paths ~catalog ~fleet ?resil ()] builds a loop over
-    the fixed routing. Without [resil] the loop runs the direct (legacy)
+    the fixed routing. Without [resil] the loop runs the direct
     configuration; with it, the fault timeline, capacity tracker and
     failover router are instantiated exactly as [Vod_resil.Playout.create]
     does. Raises [Invalid_argument] if the schedule references ids
@@ -44,17 +50,20 @@ val vho_up : t -> int -> bool
     boundary instant. No-op in the direct configuration. *)
 val advance : t -> now:float -> unit
 
-(** Play one time-sorted request batch, accumulating into the metrics.
+(** Play one time-sorted request batch, accumulating into the metrics:
+    the batch is validated, then copied in array order, a fixed-size
+    chunk at a time, into a staging store the loop owns, and served by
+    the same loop as {!play_soa}.
     Raises [Invalid_argument] on VHO ids outside the metrics arrays. *)
 val play :
   t -> Vod_sim.Metrics.t -> Vod_workload.Trace.request array -> unit
 
-(** Columnar twin of {!play}: rows [[lo, hi)) of a compact
-    struct-of-arrays store, iterated by index with no boxed request and
-    no per-row closure in either configuration. Byte-identical metrics
-    to {!play} on the equivalent request slice (asserted by
-    test/test_soa.ml). Raises [Invalid_argument] on a bad range or a
-    store whose VHO bound exceeds the metrics arrays. *)
+(** Play rows [[lo, hi)) of a compact struct-of-arrays store, iterated
+    by index with no boxed request and no per-row closure in either
+    configuration. Byte-identical metrics to {!play} on the equivalent
+    request slice (asserted by test/test_soa.ml). Raises
+    [Invalid_argument] on a bad range or a store whose VHO bound
+    exceeds the metrics arrays. *)
 val play_soa :
   t -> Vod_sim.Metrics.t -> Vod_workload.Trace_soa.t -> lo:int -> hi:int -> unit
 
@@ -81,7 +90,7 @@ val run :
   unit ->
   Vod_sim.Metrics.t * Vod_resil.Playout.window list
 
-(** One-shot playout of a full compact store (columnar twin of {!run}). *)
+(** One-shot playout of a full compact store ({!run} over a store). *)
 val run_soa :
   graph:Vod_topology.Graph.t ->
   paths:Vod_topology.Paths.t ->

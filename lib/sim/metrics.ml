@@ -115,6 +115,14 @@ let add_stream t ~link ~rate_mbps ~t0 ~t1 =
     done
   end
 
+(* [add_stream] on every link of a path, in path order. One call per
+   stream: a caller holding unboxed floats boxes them once, not once
+   per link. *)
+let add_path_stream t ~links ~rate_mbps ~t0 ~t1 =
+  for i = 0 to Array.length links - 1 do
+    add_stream t ~link:links.(i) ~rate_mbps ~t0 ~t1
+  done
+
 (* Per-bin maximum over links (Fig. 5's series). *)
 let peak_series t =
   Array.init t.n_bins (fun b ->

@@ -65,6 +65,11 @@ val validate_store : t -> Vod_workload.Trace_soa.t -> unit
     (overlap-weighted). *)
 val add_stream : t -> link:int -> rate_mbps:float -> t0:float -> t1:float -> unit
 
+(** {!add_stream} on each of [links] in order — one stream over a
+    path. *)
+val add_path_stream :
+  t -> links:int array -> rate_mbps:float -> t0:float -> t1:float -> unit
+
 (** Per-bin max over links (Fig. 5). *)
 val peak_series : t -> float array
 

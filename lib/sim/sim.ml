@@ -1,6 +1,9 @@
-(* The playout engine: drive a fleet with a request batch, accounting
-   remote streams onto every link of the fixed path for the duration of
-   playback (paper Sec. VII-A: "custom built simulator"). *)
+(* The fixed-path reference playout: drive a fleet with a request batch,
+   accounting remote streams onto every link of the fixed path for the
+   duration of playback (paper Sec. VII-A: "custom built simulator").
+   Production serving goes through Vod_serve.Loop; this engine is kept
+   as the independent reference its direct configuration is tested
+   against (test/test_serve.ml, test/test_soa.ml). *)
 
 let src = Logs.Src.create "vod.sim" ~doc:"trace playout"
 
@@ -62,63 +65,6 @@ let play metrics (paths : Vod_topology.Paths.t)
       end)
     requests
 
-(* Columnar twin of [play]: rows [lo, hi) of a struct-of-arrays store,
-   iterated by index — no boxed request, no per-row closure, the same
-   serve call and the same float operation order, so the metrics are
-   byte-for-byte those of [play] on the equivalent request slice
-   (asserted by test/test_soa.ml). Kept field-for-field in sync with
-   [play] above. *)
-let play_soa metrics (paths : Vod_topology.Paths.t)
-    (catalog : Vod_workload.Catalog.t) fleet (soa : Vod_workload.Trace_soa.t)
-    ~lo ~hi =
-  if lo < 0 || hi < lo || hi > Vod_workload.Trace_soa.length soa then
-    invalid_arg "Sim.play_soa: range out of bounds";
-  Metrics.validate_store metrics soa;
-  let track_per_vho = Array.length metrics.Metrics.per_vho_requests > 0 in
-  for i = lo to hi - 1 do
-    let now = Vod_workload.Trace_soa.time soa i in
-    let video = Vod_workload.Trace_soa.video soa i in
-    let vho = Vod_workload.Trace_soa.vho soa i in
-    let outcome = Vod_cache.Fleet.serve fleet ~video ~vho ~now in
-    let record = Metrics.in_record_window metrics now in
-    if record then begin
-      metrics.Metrics.requests <- metrics.Metrics.requests + 1;
-      if track_per_vho then
-        metrics.Metrics.per_vho_requests.(vho) <-
-          metrics.Metrics.per_vho_requests.(vho) + 1;
-      if outcome.Vod_cache.Fleet.local then begin
-        metrics.Metrics.local_served <- metrics.Metrics.local_served + 1;
-        if track_per_vho then
-          metrics.Metrics.per_vho_local.(vho) <-
-            metrics.Metrics.per_vho_local.(vho) + 1;
-        if outcome.Vod_cache.Fleet.cache_hit then
-          metrics.Metrics.cache_hits <- metrics.Metrics.cache_hits + 1
-      end
-      else begin
-        metrics.Metrics.remote_served <- metrics.Metrics.remote_served + 1;
-        if outcome.Vod_cache.Fleet.not_cachable then
-          metrics.Metrics.not_cachable <- metrics.Metrics.not_cachable + 1
-      end
-    end;
-    if not outcome.Vod_cache.Fleet.local then begin
-      let server = outcome.Vod_cache.Fleet.server in
-      let v = Vod_workload.Catalog.video catalog video in
-      let rate = Vod_workload.Video.rate_mbps v in
-      let dur = Vod_workload.Video.duration_s v in
-      let links = Vod_topology.Paths.path_links paths ~src:server ~dst:vho in
-      let t1 = now +. dur in
-      for l = 0 to Array.length links - 1 do
-        Metrics.add_stream metrics ~link:links.(l) ~rate_mbps:rate ~t0:now ~t1
-      done;
-      if record then begin
-        let hops = float_of_int (Vod_topology.Paths.hops paths ~src:server ~dst:vho) in
-        let gb = Vod_workload.Video.size_gb v in
-        metrics.Metrics.total_gb_hops <- metrics.Metrics.total_gb_hops +. (gb *. hops);
-        metrics.Metrics.total_gb_remote <- metrics.Metrics.total_gb_remote +. gb
-      end
-    end
-  done
-
 (* One-shot playout of a full trace. *)
 let run ~graph ~paths ~catalog ~fleet ~trace ?(bin_s = 300.0)
     ?(record_from = 0.0) () =
@@ -132,28 +78,6 @@ let run ~graph ~paths ~catalog ~fleet ~trace ?(bin_s = 300.0)
       ~horizon_s ~bin_s ~record_from ()
   in
   play metrics paths catalog fleet trace.Vod_workload.Trace.requests;
-  Log.info (fun m ->
-      m "%s: %d requests, local %.1f%%, peak link %.0f Mb/s, %.0f GBxhop"
-        (Vod_cache.Fleet.name fleet) metrics.Metrics.requests
-        (100.0 *. Metrics.local_fraction metrics)
-        (Metrics.max_link_mbps metrics) metrics.Metrics.total_gb_hops);
-  metrics
-
-(* One-shot playout of a full compact store (columnar twin of [run]). *)
-let run_soa ~graph ~paths ~catalog ~fleet ~store ?(bin_s = 300.0)
-    ?(record_from = 0.0) () =
-  let horizon_s =
-    float_of_int store.Vod_workload.Trace_soa.days
-    *. Vod_workload.Trace.seconds_per_day
-  in
-  let metrics =
-    Metrics.create
-      ~n_links:(Vod_topology.Graph.n_links graph)
-      ~n_vhos:(Vod_topology.Graph.n_nodes graph)
-      ~horizon_s ~bin_s ~record_from ()
-  in
-  play_soa metrics paths catalog fleet store ~lo:0
-    ~hi:(Vod_workload.Trace_soa.length store);
   Log.info (fun m ->
       m "%s: %d requests, local %.1f%%, peak link %.0f Mb/s, %.0f GBxhop"
         (Vod_cache.Fleet.name fleet) metrics.Metrics.requests

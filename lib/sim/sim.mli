@@ -1,29 +1,18 @@
-(** Trace playout engine: drives a fleet with time-sorted requests,
+(** Reference trace playout: drives a fleet with time-sorted requests,
     streaming remote fetches over every link of the fixed path for the
-    playback duration. *)
+    playback duration. Serving code uses [Vod_serve.Loop], whose direct
+    configuration reproduces this engine's metrics byte-for-byte; this
+    module stays as the independent reference the tests compare
+    against. *)
 
-(** Incremental playout of one batch into existing metrics (the weekly
-    pipeline plays segment by segment as placements change). *)
+(** Incremental playout of one time-sorted batch into existing
+    metrics. *)
 val play :
   Metrics.t ->
   Vod_topology.Paths.t ->
   Vod_workload.Catalog.t ->
   Vod_cache.Fleet.t ->
   Vod_workload.Trace.request array ->
-  unit
-
-(** Columnar twin of {!play}: rows [[lo, hi)) of a compact
-    struct-of-arrays store, iterated by index with no boxed request and
-    no per-row closure. Produces byte-identical metrics to {!play} on
-    the equivalent request slice. *)
-val play_soa :
-  Metrics.t ->
-  Vod_topology.Paths.t ->
-  Vod_workload.Catalog.t ->
-  Vod_cache.Fleet.t ->
-  Vod_workload.Trace_soa.t ->
-  lo:int ->
-  hi:int ->
   unit
 
 (** One-shot playout of a full trace. [record_from] excludes the cache
@@ -34,18 +23,6 @@ val run :
   catalog:Vod_workload.Catalog.t ->
   fleet:Vod_cache.Fleet.t ->
   trace:Vod_workload.Trace.t ->
-  ?bin_s:float ->
-  ?record_from:float ->
-  unit ->
-  Metrics.t
-
-(** One-shot playout of a full compact store (columnar twin of {!run}). *)
-val run_soa :
-  graph:Vod_topology.Graph.t ->
-  paths:Vod_topology.Paths.t ->
-  catalog:Vod_workload.Catalog.t ->
-  fleet:Vod_cache.Fleet.t ->
-  store:Vod_workload.Trace_soa.t ->
   ?bin_s:float ->
   ?record_from:float ->
   unit ->

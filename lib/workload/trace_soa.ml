@@ -56,16 +56,19 @@ let validate ~n_vhos ~days ~n ~time ~vho =
       invalid_arg "Trace_soa: request time outside trace horizon"
   done
 
+let create ~n_vhos ~days n =
+  { times = alloc_times n; vhos = alloc_ids n; videos = alloc_ids n; n_vhos; days }
+
 (* Build the store from row accessors and a row permutation. *)
 let build ~n_vhos ~days ~n ~time ~vho ~video ~perm =
-  let times = alloc_times n and vhos = alloc_ids n and videos = alloc_ids n in
+  let t = create ~n_vhos ~days n in
   for i = 0 to n - 1 do
     let src = perm.(i) in
-    A1.set times i (time src);
-    A1.set vhos i (Int32.of_int (vho src));
-    A1.set videos i (Int32.of_int (video src))
+    A1.set t.times i (time src);
+    A1.set t.vhos i (Int32.of_int (vho src));
+    A1.set t.videos i (Int32.of_int (video src))
   done;
-  { times; vhos; videos; n_vhos; days }
+  t
 
 let of_columns ~n_vhos ~days ~times ~vhos ~videos =
   let n = Array.length times in
@@ -75,17 +78,24 @@ let of_columns ~n_vhos ~days ~times ~vhos ~videos =
   validate ~n_vhos ~days ~n ~time ~vho;
   build ~n_vhos ~days ~n ~time ~vho ~video ~perm:(sort_perm ~n ~time)
 
-(* A Trace.t is already sorted and validated: identity permutation. *)
+(* Rows copied in array order (identity permutation), unvalidated: the
+   caller's batch is already sorted and checked, as a Trace.t is. *)
+let blit_requests (requests : Trace.request array) ~pos ~len t =
+  if pos < 0 || len < 0 || pos + len > Array.length requests then
+    invalid_arg "Trace_soa.blit_requests: range out of bounds";
+  if len > length t then invalid_arg "Trace_soa.blit_requests: store too short";
+  for i = 0 to len - 1 do
+    let r = requests.(pos + i) in
+    A1.set t.times i r.Trace.time_s;
+    A1.set t.vhos i (Int32.of_int r.Trace.vho);
+    A1.set t.videos i (Int32.of_int r.Trace.video)
+  done
+
 let of_trace (tr : Trace.t) =
   let n = Array.length tr.Trace.requests in
-  let times = alloc_times n and vhos = alloc_ids n and videos = alloc_ids n in
-  for i = 0 to n - 1 do
-    let r = tr.Trace.requests.(i) in
-    A1.set times i r.Trace.time_s;
-    A1.set vhos i (Int32.of_int r.Trace.vho);
-    A1.set videos i (Int32.of_int r.Trace.video)
-  done;
-  { times; vhos; videos; n_vhos = tr.Trace.n_vhos; days = tr.Trace.days }
+  let t = create ~n_vhos:tr.Trace.n_vhos ~days:tr.Trace.days n in
+  blit_requests tr.Trace.requests ~pos:0 ~len:n t;
+  t
 
 (* Rows are already in Trace.create's order, so construct the record
    directly rather than re-sorting: with tied times an unstable re-sort

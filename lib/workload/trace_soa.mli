@@ -51,6 +51,18 @@ val of_columns :
     [to_trace (of_trace tr)] equals [tr] request-for-request. *)
 val of_trace : Trace.t -> t
 
+(** [create ~n_vhos ~days n] allocates a store of [n] uninitialized
+    rows, to be filled by {!blit_requests}. *)
+val create : n_vhos:int -> days:int -> int -> t
+
+(** [blit_requests requests ~pos ~len t] overwrites rows [[0, len)] of
+    [t] with [requests.(pos)] .. [requests.(pos + len - 1)], in array
+    order and without validation — the serving loop's bridge for array
+    callers, which validate their batch themselves; rows from [len] on
+    are left as they were. Raises [Invalid_argument] on a range outside
+    [requests] or if [t] has fewer than [len] rows. *)
+val blit_requests : Trace.request array -> pos:int -> len:int -> t -> unit
+
 val to_trace : t -> Trace.t
 
 (** Row range [lo, hi) with time in [[t0_s, t1_s)) — binary search over

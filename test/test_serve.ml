@@ -69,10 +69,9 @@ let loop_matches_legacy_sim () =
   Alcotest.(check int) "no rejections" 0 unified.M.deg.M.rejections;
   Alcotest.(check bool) "no windows in direct mode" true (windows = [])
 
-(* Faulted: the loop's failover configuration is Vod_resil.Playout —
-   same metrics, same degradation counters, same event windows. *)
-let loop_matches_resil_playout () =
-  let g, paths, catalog, trace = sim_world () in
+(* VHO 0 dark for 30 % of the trace, a 2x surge at VHO 1 for 20 %, and a
+   binding per-link budget with an origin to fail over to. *)
+let faulted_config (trace : Vod_workload.Trace.t) =
   let horizon = float_of_int trace.Vod_workload.Trace.days *. 86_400.0 in
   let schedule =
     E.create
@@ -83,9 +82,13 @@ let loop_matches_resil_playout () =
         ev (0.7 *. horizon) (E.Surge_end 1);
       ]
   in
-  let config =
-    Vod_resil.Playout.config ~schedule ~link_capacity_mbps:120.0 ~origin:2 ()
-  in
+  Vod_resil.Playout.config ~schedule ~link_capacity_mbps:120.0 ~origin:2 ()
+
+(* Faulted: the loop's failover configuration is Vod_resil.Playout —
+   same metrics, same degradation counters, same event windows. *)
+let loop_matches_resil_playout () =
+  let g, paths, catalog, trace = sim_world () in
+  let config = faulted_config trace in
   let resil, resil_windows =
     Vod_resil.Playout.run ~graph:g ~paths ~catalog
       ~fleet:(lru_fleet paths catalog) ~trace config
@@ -336,6 +339,67 @@ let daemon_boundaries () =
   in
   Alcotest.(check int) "react off drops events" 3 (List.length no_react)
 
+(* The loop's [serve/*] degradation counters count what the reference
+   engine's [resil/*] counters of the same name count, per rejection
+   reason included, on the faulted fixture. *)
+let loop_obs_counters_match_playout () =
+  let g, paths, catalog, trace = sim_world () in
+  let config = faulted_config trace in
+  let counters run =
+    let reg = Vod_obs.Obs.create () in
+    Vod_obs.Obs.with_run reg (fun () -> ignore (run ()));
+    reg
+  in
+  let resil =
+    counters (fun () ->
+        fst
+          (Vod_resil.Playout.run ~graph:g ~paths ~catalog
+             ~fleet:(lru_fleet paths catalog) ~trace config))
+  in
+  let unified =
+    counters (fun () ->
+        fst
+          (Vod_serve.Loop.run ~graph:g ~paths ~catalog
+             ~fleet:(lru_fleet paths catalog) ~trace ~resil:config ()))
+  in
+  let counter reg name =
+    match Vod_obs.Obs.read reg name with
+    | Some (Vod_obs.Obs.Counter n) -> n
+    | None -> 0
+    | Some _ -> Alcotest.fail (name ^ " is not a counter")
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check int) name
+        (counter resil ("resil/" ^ name))
+        (counter unified ("serve/" ^ name)))
+    [
+      "rejections";
+      "rejections/vho_down";
+      "rejections/no_replica";
+      "rejections/unreachable";
+      "rejections/no_capacity";
+      "failovers";
+      "failover_extra_hops";
+      "origin_served";
+      "surged_streams";
+      "events_applied";
+    ];
+  (* Not every counter fires on this fixture; these are the ones that
+     do, so the comparison above is not vacuous. *)
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " counted") true
+        (counter unified ("serve/" ^ name) > 0))
+    [
+      "rejections";
+      "rejections/vho_down";
+      "failovers";
+      "origin_served";
+      "surged_streams";
+      "events_applied";
+    ]
+
 (* ---------- exceptional-path settlement ---------- *)
 
 (* Regression tests for the missing-protect defects vodlint's protocol
@@ -429,6 +493,8 @@ let suite =
     Alcotest.test_case "predict_at matches predict" `Quick
       predict_at_matches_predict;
     Alcotest.test_case "daemon boundaries" `Quick daemon_boundaries;
+    Alcotest.test_case "loop obs counters match playout" `Quick
+      loop_obs_counters_match_playout;
     Alcotest.test_case "loop settles ledger on raise" `Quick
       loop_settles_on_raise;
     Alcotest.test_case "daemon settles ledger on raise" `Slow

@@ -1,8 +1,8 @@
 (* Tests for the compact struct-of-arrays request store (lib/workload
-   Trace_soa) and the SoA serving paths: lossless round-trips against
+   Trace_soa) and the serving loop over it: lossless round-trips against
    the boxed representation, windowed-reader boundary cases, and
-   byte-identical metrics between the array-backed and SoA-backed
-   engines in every configuration. *)
+   byte-identical metrics between the loop (store and array entry
+   points) and the reference engines in both configurations. *)
 
 module E = Vod_resil.Event
 module M = Vod_sim.Metrics
@@ -16,7 +16,7 @@ let ring4 () =
     ~edges:[ (0, 1); (1, 2); (2, 3); (3, 0) ]
     ~populations:[| 2.0; 1.0; 1.0; 1.0 |]
 
-let sim_world () =
+let sim_world ?(mean_daily_requests = 400.0) () =
   let g = ring4 () in
   let paths = Vod_topology.Paths.compute g in
   let catalog =
@@ -26,8 +26,8 @@ let sim_world () =
   let trace =
     Vod_workload.Tracegen.generate
       (Vod_workload.Tracegen.default_params ~catalog
-         ~populations:g.Vod_topology.Graph.populations
-         ~mean_daily_requests:400.0 ~seed:4)
+         ~populations:g.Vod_topology.Graph.populations ~mean_daily_requests
+         ~seed:4)
   in
   (g, paths, catalog, trace)
 
@@ -203,21 +203,6 @@ let check_metrics_equal (a : M.t) (b : M.t) =
   Alcotest.(check bool) "link-load matrix byte-equal" true
     (a.M.link_load = b.M.link_load)
 
-(* Legacy engine: Sim.run_soa ≡ Sim.run. *)
-let sim_soa_matches_sim () =
-  let g, paths, catalog, trace = sim_world () in
-  let record_from = 1.0 *. T.seconds_per_day in
-  let arr =
-    Vod_sim.Sim.run ~graph:g ~paths ~catalog ~fleet:(lru_fleet paths catalog)
-      ~trace ~record_from ()
-  in
-  let soa =
-    Vod_sim.Sim.run_soa ~graph:g ~paths ~catalog
-      ~fleet:(lru_fleet paths catalog) ~store:(S.of_trace trace) ~record_from
-      ()
-  in
-  check_metrics_equal arr soa
-
 let faulted_config () =
   let horizon = 7.0 *. T.seconds_per_day in
   let schedule =
@@ -242,51 +227,63 @@ let check_windows_equal a b =
       Alcotest.(check int) "window rejections" x.Vod_resil.Playout.rejections
         y.Vod_resil.Playout.rejections;
       Alcotest.(check int) "window failovers" x.Vod_resil.Playout.failovers
-        y.Vod_resil.Playout.failovers)
+        y.Vod_resil.Playout.failovers;
+      Alcotest.(check bool) "window bounds bit-equal" true
+        (x.Vod_resil.Playout.t0_s = y.Vod_resil.Playout.t0_s
+        && x.Vod_resil.Playout.t1_s = y.Vod_resil.Playout.t1_s))
     a b
 
-(* Resilience engine: Playout.run_soa ≡ Playout.run, degradation
-   counters and event windows included. *)
-let playout_soa_matches_playout () =
-  let g, paths, catalog, trace = sim_world () in
-  let config = faulted_config () in
-  let arr, arr_w =
-    Vod_resil.Playout.run ~graph:g ~paths ~catalog
-      ~fleet:(lru_fleet paths catalog) ~trace config
-  in
-  let soa, soa_w =
-    Vod_resil.Playout.run_soa ~graph:g ~paths ~catalog
-      ~fleet:(lru_fleet paths catalog) ~store:(S.of_trace trace) config
-  in
-  check_metrics_equal arr soa;
-  let da = arr.M.deg and db = soa.M.deg in
+let check_degradation_equal (a : M.t) (b : M.t) =
+  let da = a.M.deg and db = b.M.deg in
   Alcotest.(check int) "rejections" da.M.rejections db.M.rejections;
+  Alcotest.(check int) "vho down" da.M.rejected_vho_down db.M.rejected_vho_down;
+  Alcotest.(check int) "no replica" da.M.rejected_no_replica
+    db.M.rejected_no_replica;
+  Alcotest.(check int) "unreachable" da.M.rejected_unreachable
+    db.M.rejected_unreachable;
+  Alcotest.(check int) "no capacity" da.M.rejected_no_capacity
+    db.M.rejected_no_capacity;
   Alcotest.(check int) "failovers" da.M.failovers db.M.failovers;
+  Alcotest.(check int) "extra hops" da.M.failover_extra_hops
+    db.M.failover_extra_hops;
   Alcotest.(check int) "origin served" da.M.origin_served db.M.origin_served;
   Alcotest.(check bool) "saturation bit-equal" true
-    (da.M.link_saturated_s = db.M.link_saturated_s);
-  Alcotest.(check bool) "faulted something" true (da.M.rejections > 0);
-  check_windows_equal arr_w soa_w
+    (da.M.link_saturated_s = db.M.link_saturated_s)
 
-(* Unified loop, both configurations: Loop.run_soa ≡ Loop.run. *)
+(* The serving loop over a store, the same loop over the boxed trace,
+   and the fixed-path reference engine (Sim.run) agree byte-for-byte. *)
 let loop_soa_matches_loop_direct () =
   let g, paths, catalog, trace = sim_world () in
   let record_from = 1.0 *. T.seconds_per_day in
-  let arr, _ =
+  let reference =
+    Vod_sim.Sim.run ~graph:g ~paths ~catalog ~fleet:(lru_fleet paths catalog)
+      ~trace ~record_from ()
+  in
+  let arr, arr_w =
     Vod_serve.Loop.run ~graph:g ~paths ~catalog
       ~fleet:(lru_fleet paths catalog) ~trace ~record_from ()
   in
-  let soa, windows =
+  let soa, soa_w =
     Vod_serve.Loop.run_soa ~graph:g ~paths ~catalog
       ~fleet:(lru_fleet paths catalog) ~store:(S.of_trace trace) ~record_from
       ()
   in
+  check_metrics_equal reference soa;
+  check_degradation_equal reference soa;
   check_metrics_equal arr soa;
-  Alcotest.(check bool) "no windows in direct mode" true (windows = [])
+  Alcotest.(check bool) "no windows in direct mode" true
+    (soa_w = [] && arr_w = [])
 
+(* Faulted: the loop over a store, over the boxed trace, and the
+   resilience reference engine (Playout.run) agree — degradation
+   counters, saturation and event windows included. *)
 let loop_soa_matches_loop_faulted () =
   let g, paths, catalog, trace = sim_world () in
   let config = faulted_config () in
+  let reference, reference_w =
+    Vod_resil.Playout.run ~graph:g ~paths ~catalog
+      ~fleet:(lru_fleet paths catalog) ~trace config
+  in
   let arr, arr_w =
     Vod_serve.Loop.run ~graph:g ~paths ~catalog
       ~fleet:(lru_fleet paths catalog) ~trace ~resil:config ()
@@ -296,67 +293,79 @@ let loop_soa_matches_loop_faulted () =
       ~fleet:(lru_fleet paths catalog) ~store:(S.of_trace trace) ~resil:config
       ()
   in
+  check_metrics_equal reference soa;
+  check_degradation_equal reference soa;
+  Alcotest.(check bool) "faulted something" true (soa.M.deg.M.rejections > 0);
+  check_windows_equal reference_w soa_w;
   check_metrics_equal arr soa;
-  Alcotest.(check int) "rejections" arr.M.deg.M.rejections
-    soa.M.deg.M.rejections;
+  check_degradation_equal arr soa;
   check_windows_equal arr_w soa_w
 
-(* Segment-wise playout through play_soa (the pipeline's pattern) is
-   the whole-trace playout: ranges from between_days tile the store. *)
+(* Loop.play serves an array batch through a fixed staging store a
+   chunk at a time; on a trace several chunks long, Loop.run still
+   reproduces both reference engines. *)
+let loop_run_across_chunks () =
+  let g, paths, catalog, trace = sim_world ~mean_daily_requests:2000.0 () in
+  Alcotest.(check bool) "trace spans several staging chunks" true
+    (T.length trace > 3 * 4096);
+  let direct, _ =
+    Vod_serve.Loop.run ~graph:g ~paths ~catalog
+      ~fleet:(lru_fleet paths catalog) ~trace ()
+  in
+  check_metrics_equal
+    (Vod_sim.Sim.run ~graph:g ~paths ~catalog ~fleet:(lru_fleet paths catalog)
+       ~trace ())
+    direct;
+  let config = faulted_config () in
+  let faulted, faulted_w =
+    Vod_serve.Loop.run ~graph:g ~paths ~catalog
+      ~fleet:(lru_fleet paths catalog) ~trace ~resil:config ()
+  in
+  let reference, reference_w =
+    Vod_resil.Playout.run ~graph:g ~paths ~catalog
+      ~fleet:(lru_fleet paths catalog) ~trace config
+  in
+  check_metrics_equal reference faulted;
+  check_degradation_equal reference faulted;
+  check_windows_equal reference_w faulted_w
+
+(* Segment-wise playout through play_soa (the pipeline's and the
+   daemon's pattern) is the whole-trace playout in both configurations:
+   ranges from between_days tile the store, and the fault timeline and
+   its windows carry across segment boundaries. *)
 let play_soa_segments_match_whole () =
   let g, paths, catalog, trace = sim_world () in
   let soa = S.of_trace trace in
-  let fleet = lru_fleet paths catalog in
   let fresh () =
     M.create
       ~n_links:(Vod_topology.Graph.n_links g)
       ~n_vhos:(Vod_topology.Graph.n_nodes g)
       ~horizon_s:(7.0 *. T.seconds_per_day) ()
   in
-  let whole = fresh () in
-  let engine1 =
-    Vod_serve.Loop.create ~graph:g ~paths ~catalog ~fleet:(lru_fleet paths catalog) ()
-  in
-  Vod_serve.Loop.play_soa engine1 whole soa ~lo:0 ~hi:(S.length soa);
-  let seg = fresh () in
-  let engine2 = Vod_serve.Loop.create ~graph:g ~paths ~catalog ~fleet () in
-  List.iter
-    (fun (day_lo, day_hi) ->
-      let lo, hi = S.between_days soa ~day_lo ~day_hi in
-      Vod_serve.Loop.play_soa engine2 seg soa ~lo ~hi)
-    [ (0, 2); (2, 3); (3, 7) ];
-  check_metrics_equal whole seg
-
-(* Pipeline with cfg.soa = true reproduces the array-backed pipeline
-   byte-for-byte for both an MIP scheme and a caching scheme. *)
-let pipeline_soa_flag_identity () =
-  let scenario =
-    Vod_core.Scenario.make ~days:10 ~requests_per_video_per_day:4.0 ~seed:9
-      ~graph:(ring4 ()) ~n_videos:40 ()
-  in
-  let base =
-    {
-      (Vod_core.Pipeline.default_config ~scenario
-         ~disk_gb:(Vod_core.Scenario.uniform_disk scenario ~multiple:2.0)
-         ~link_capacity_mbps:500.0)
-      with
-      Vod_core.Pipeline.warmup_days = 2;
-    }
+  let engine resil =
+    Vod_serve.Loop.create ~graph:g ~paths ~catalog
+      ~fleet:(lru_fleet paths catalog) ?resil ()
   in
   List.iter
-    (fun scheme ->
-      let arr = Vod_core.Pipeline.run base scheme in
-      let soa =
-        Vod_core.Pipeline.run { base with Vod_core.Pipeline.soa = true } scheme
-      in
-      Alcotest.(check string) "scheme name"
-        arr.Vod_core.Pipeline.scheme_name soa.Vod_core.Pipeline.scheme_name;
-      check_metrics_equal arr.Vod_core.Pipeline.metrics
-        soa.Vod_core.Pipeline.metrics)
-    [
-      Vod_core.Pipeline.Mip Vod_core.Pipeline.default_mip;
-      Vod_core.Pipeline.Random_cache Vod_cache.Cache.Lru;
-    ]
+    (fun resil ->
+      let whole = fresh () in
+      let engine1 = engine resil in
+      Vod_serve.Loop.play_soa engine1 whole soa ~lo:0 ~hi:(S.length soa);
+      Vod_serve.Loop.finish engine1 whole;
+      let seg = fresh () in
+      let engine2 = engine resil in
+      List.iter
+        (fun (day_lo, day_hi) ->
+          let lo, hi = S.between_days soa ~day_lo ~day_hi in
+          Vod_serve.Loop.play_soa engine2 seg soa ~lo ~hi)
+        [ (0, 2); (2, 3); (3, 7) ];
+      Vod_serve.Loop.finish engine2 seg;
+      check_metrics_equal whole seg;
+      check_degradation_equal whole seg;
+      check_windows_equal
+        (Vod_serve.Loop.windows engine1)
+        (Vod_serve.Loop.windows engine2))
+    [ None; Some (faulted_config ()) ]
 
 (* ---------- validation ---------- *)
 
@@ -390,18 +399,14 @@ let suite =
         iter_windows_tiling ());
     Alcotest.test_case "Demand.of_soa = of_requests" `Quick (fun () ->
         demand_of_soa_matches_of_requests ());
-    Alcotest.test_case "Sim.run_soa = Sim.run" `Quick (fun () ->
-        sim_soa_matches_sim ());
-    Alcotest.test_case "Playout.run_soa = Playout.run" `Quick (fun () ->
-        playout_soa_matches_playout ());
     Alcotest.test_case "Loop.run_soa = Loop.run (direct)" `Quick (fun () ->
         loop_soa_matches_loop_direct ());
     Alcotest.test_case "Loop.run_soa = Loop.run (faulted)" `Quick (fun () ->
         loop_soa_matches_loop_faulted ());
+    Alcotest.test_case "Loop.run across staging chunks" `Quick (fun () ->
+        loop_run_across_chunks ());
     Alcotest.test_case "segmented play_soa = whole" `Quick (fun () ->
         play_soa_segments_match_whole ());
-    Alcotest.test_case "Pipeline soa flag byte-identity" `Quick (fun () ->
-        pipeline_soa_flag_identity ());
     Alcotest.test_case "validation errors" `Quick (fun () ->
         rejects_bad_rows ());
   ]
