@@ -1,11 +1,14 @@
 (** End-to-end evaluation pipeline (paper Sec. VII): play a month of
     requests against one distribution scheme, with periodic MIP re-solves
-    driven by demand estimation, and record metrics after warm-up. *)
+    driven by demand estimation, and record metrics after warm-up. The
+    MIP re-solves run through the online daemon ({!replan_problem}). *)
 
 type mip_config = {
   estimator : Vod_workload.Estimator.strategy;
   cache_frac : float;   (** complementary-LRU share of each VHO's disk *)
-  update_days : int;    (** placement update period (7 = weekly) *)
+  update_days : int;
+      (** placement update period (7 = weekly); {!run} raises
+          [Invalid_argument] unless positive *)
   engine : Vod_epf.Engine.params;
   solver : string;
       (** placement solver backend name ({!Vod_placement.Backend});
@@ -65,18 +68,12 @@ val scheme_name : config -> scheme -> string
     benches). *)
 val first_week_ranking : config -> int array
 
-(** MIP update days: the bootstrap serves days [0, 7); updates then run
-    every [update_days] from day 7 while strictly inside the trace. The
-    implied segments tile the trace exactly — a final partial window
-    (when [update_days] does not divide [days - 7]) is shorter, never
-    dropped or double-played. Raises [Invalid_argument] on a
-    non-positive [update_days]. *)
-val update_schedule : days:int -> update_days:int -> int list
-
-(** The re-placement problem the weekly MIP solves are built from —
-    shared verbatim with the online daemon ([Vod_serve.Daemon]), which
-    is what makes a day-aligned unbudgeted daemon bit-identical to this
-    batch pipeline. *)
+(** The re-placement problem the MIP updates are built from. [Mip]
+    schemes run as a preset of the online daemon ([Vod_serve.Daemon]):
+    [Pipeline.run_mip] is [Daemon.run] on this problem with day-aligned
+    ticks every [update_days] from day 7 (the final segment may be
+    shorter), a week of history, cold solves, an infinite migration
+    budget and no fault reaction. *)
 val replan_problem : config -> mip_config -> Vod_serve.Replan.problem
 
 (** The most recent placement of a result (the last element of

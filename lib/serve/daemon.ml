@@ -2,7 +2,7 @@
    stream through the unified serving loop, periodic demand
    re-estimation on a sliding window, warm-started EPF re-solves from
    the incumbent placement, and incremental placement deltas under a
-   migration-byte budget — the continuous counterpart of the paper's
+   migration-byte budget — the continuous generalization of the paper's
    Sec. VII-H batch update policies.
 
    State machine per replan boundary (periodic tick or, with
@@ -11,10 +11,9 @@
      serve --> estimate --> solve --> restrict --> apply --> serve
                 (predict_at)  (warm)    (budget)   (set_fleet)
 
-   With an infinite budget, warm start off and day-aligned boundaries,
-   every step degenerates to the batch pipeline's, and the run is
-   bit-identical to [Pipeline.run_mip] with [update_days = 1]
-   (asserted by test/test_serve.ml). *)
+   With an infinite budget, warm start off, no fault reaction and
+   day-aligned ticks every [update_days], every step degenerates to the
+   batch update policy: [Pipeline.run_mip] is this preset. *)
 
 module Obs = Vod_obs.Obs
 
@@ -65,6 +64,10 @@ let week_s = 7.0 *. Vod_workload.Trace.seconds_per_day
    to the horizon, merged with the fault timeline's event instants when
    reacting to faults. Periodic ticks keep their label on collisions. *)
 let boundaries (cfg : config) ?resil ~horizon_s () =
+  (* A cadence that is not positive would never reach the horizon (and a
+     NaN one would silently never tick). *)
+  if not (cfg.update_every_s > 0.0) then
+    invalid_arg "Daemon.boundaries: update_every_s must be positive";
   let ticks = ref [] in
   let t = ref week_s in
   while !t < horizon_s do
@@ -106,6 +109,8 @@ let run ~graph ~paths ~catalog ~(trace : Vod_workload.Trace.t)
     float_of_int trace.Vod_workload.Trace.days
     *. Vod_workload.Trace.seconds_per_day
   in
+  (* Checked before the bootstrap solve: a bad cadence raises here. *)
+  let bounds = boundaries cfg ?resil ~horizon_s () in
   let n_vhos = Vod_topology.Graph.n_nodes graph in
   let metrics =
     Vod_sim.Metrics.create
@@ -118,13 +123,24 @@ let run ~graph ~paths ~catalog ~(trace : Vod_workload.Trace.t)
   let fleet_of sol =
     Vod_cache.Fleet.mip ~solution:sol ~paths ~catalog ~cache_gb
   in
+  (* One compact store per run: every segment between boundaries is
+     the row range a binary search over its time column gives. *)
+  let store = Vod_workload.Trace_soa.of_trace trace in
+  let rows ~t0_s ~t1_s = Vod_workload.Trace_soa.between store ~t0_s ~t1_s in
   (* Bootstrap placement from the actual first week — the paper's
-     initial pre-population, identical to the batch pipeline's. *)
-  let boot_requests = Vod_workload.Trace.between trace ~t0_s:0.0 ~t1_s:week_s in
+     initial pre-population. *)
+  let boot_requests =
+    let lo, hi = rows ~t0_s:0.0 ~t1_s:week_s in
+    Vod_workload.Trace_soa.window_requests store ~lo ~hi
+  in
   let boot = Replan.solve problem (Replan.demand problem ~t0_s:0.0 boot_requests) in
   Obs.incr "serve/daemon/replans";
   let current = ref boot.Vod_placement.Solve.solution in
   let loop = Loop.create ~graph ~paths ~catalog ~fleet:(fleet_of !current) ?resil () in
+  let play ~t0_s ~t1_s =
+    let lo, hi = rows ~t0_s ~t1_s in
+    Loop.play_soa loop metrics store ~lo ~hi
+  in
   let replans =
     ref
       [
@@ -140,7 +156,7 @@ let run ~graph ~paths ~catalog ~(trace : Vod_workload.Trace.t)
   in
   let n_videos = Vod_workload.Catalog.n_videos catalog in
   let prev = ref 0.0 in
-  (* Replan.solve/restrict and Loop.play validate their inputs and can
+  (* Replan.solve/restrict and Loop.play_soa validate their inputs and can
      raise mid-horizon; Loop.finish is idempotent, so settling the
      capacity ledger under Fun.protect keeps the normal path
      byte-identical while closing it on the exceptional one. *)
@@ -149,7 +165,7 @@ let run ~graph ~paths ~catalog ~(trace : Vod_workload.Trace.t)
     (fun () ->
       List.iter
         (fun (t_b, trigger) ->
-          Loop.play loop metrics (Vod_workload.Trace.between trace ~t0_s:!prev ~t1_s:t_b);
+          play ~t0_s:!prev ~t1_s:t_b;
           Loop.advance loop ~now:t_b;
           let predicted =
             Vod_workload.Estimator.predict_at ~history_s:cfg.history_s cfg.estimator
@@ -193,9 +209,8 @@ let run ~graph ~paths ~catalog ~(trace : Vod_workload.Trace.t)
                 trigger delta.Replan.applied delta.Replan.deferred
                 delta.Replan.moved_gb);
           prev := t_b)
-        (boundaries cfg ?resil ~horizon_s ());
-      Loop.play loop metrics
-        (Vod_workload.Trace.between trace ~t0_s:!prev ~t1_s:horizon_s));
+        bounds;
+      play ~t0_s:!prev ~t1_s:horizon_s);
   let replans = List.rev !replans in
   Log.info (fun m ->
       m "daemon: %d replans, %d requests, local %.1f%%, %d rejections"

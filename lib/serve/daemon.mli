@@ -5,9 +5,10 @@
     placement deltas under a migration-byte budget ({!Replan.restrict})
     — reacting to [lib/resil] fault state as well as demand drift.
 
-    With an infinite budget, warm start off and day-aligned boundaries
-    the run is bit-identical to the batch pipeline at [update_days = 1]
-    (asserted by test/test_serve.ml). Telemetry goes to the
+    With an infinite budget, warm start off, no fault reaction and
+    day-aligned ticks every [update_days] days, the daemon runs the
+    paper's batch update policies: [Pipeline.run_mip] is this preset.
+    Telemetry goes to the
     [serve/daemon/*] keys (METRICS.md). *)
 
 type config = {
@@ -43,11 +44,13 @@ type result = {
 }
 
 (** The replan boundary schedule [run] iterates: periodic ticks every
-    [update_every_s] from the end of the bootstrap week to the horizon,
-    merged with the fault timeline's event instants strictly inside
-    that range when [react_to_faults]. Sorted ascending; exact-time
-    collisions replan once (periodic label wins). Exposed for tests and
-    planning tools. *)
+    [update_every_s] from the end of the bootstrap week while strictly
+    before the horizon (so the segments tile the trace, the last one
+    possibly shorter), merged with the fault timeline's event instants
+    strictly inside that range when [react_to_faults]. Sorted
+    ascending; exact-time collisions replan once (periodic label wins).
+    Raises [Invalid_argument] unless [update_every_s > 0]. Exposed for
+    tests and planning tools. *)
 val boundaries :
   config ->
   ?resil:Vod_resil.Playout.config ->
@@ -56,11 +59,12 @@ val boundaries :
   (float * string) list
 
 (** [run ~graph ~paths ~catalog ~trace ~problem ?resil ?bin_s
-    ?record_from cfg] bootstraps a placement from the actual first week
-    (as the batch pipeline does), then serves the trace through the
-    unified loop, replanning at every boundary: periodic ticks from day
-    7 on, plus the fault timeline's event instants when
-    [react_to_faults] (exact-time collisions replan once). *)
+    ?record_from cfg] bootstraps a placement from the actual first week,
+    then serves the trace through the unified loop — one compact
+    {!Vod_workload.Trace_soa} store per run, each segment a row range —
+    replanning at every {!boundaries} instant. Raises
+    [Invalid_argument] on a cadence {!boundaries} rejects, before any
+    solve. *)
 val run :
   graph:Vod_topology.Graph.t ->
   paths:Vod_topology.Paths.t ->

@@ -14,8 +14,8 @@
    produce Vod_sim.Metrics byte-for-byte identical to the reference
    engines Vod_sim.Sim (direct) and Vod_resil.Playout (faulted),
    asserted by test/test_serve.ml and test/test_soa.ml. The placement
-   source is the mutable [fleet] (swapped mid-run by the batch pipeline
-   and the re-placement daemon via [set_fleet]); the router/capacity
+   source is the mutable [fleet] (swapped mid-run by the re-placement
+   daemon via [set_fleet]); the router/capacity
    pair arrives bundled in an optional [Vod_resil.Playout.config]. *)
 
 module Obs = Vod_obs.Obs
@@ -174,8 +174,8 @@ let create ~graph ~paths ~catalog ~fleet ?resil () =
 
 let fleet t = t.fleet
 
-(* Placement-source seam: the pipeline and the daemon swap placements
-   mid-run by handing the loop a rebuilt fleet between batches. *)
+(* Placement-source seam: the daemon swaps placements mid-run by
+   handing the loop a rebuilt fleet between segments. *)
 let set_fleet t fleet =
   t.fleet <- fleet;
   Obs.incr "serve/fleet_swaps"

@@ -1,9 +1,9 @@
 (* Tests for lib/serve: the unified serving loop must reproduce both
    legacy engines byte-for-byte (fault-free ≡ Vod_sim.Sim, faulted ≡
-   Vod_resil.Playout), the online daemon with an infinite budget at
-   day-aligned boundaries must be bit-identical to the batch pipeline at
-   update_days = 1, and the migration-budget restriction must respect
-   its budget while keeping per-video copy sets atomic. *)
+   Vod_resil.Playout), the batch pipeline's MIP scheme must be the
+   online daemon's unbudgeted, cold, day-aligned preset, and the
+   migration-budget restriction must respect its budget while keeping
+   per-video copy sets atomic. *)
 
 module E = Vod_resil.Event
 module M = Vod_sim.Metrics
@@ -148,8 +148,10 @@ let fast_mip =
     P.engine = { Vod_epf.Engine.default_params with Vod_epf.Engine.max_passes = 15 };
   }
 
-(* The degeneration contract: infinite budget + day-aligned boundaries +
-   cold solves = the batch pipeline at update_days = 1, bit for bit. *)
+(* The preset contract: [Pipeline.run_mip] at update_days = 1 is the
+   daemon with an infinite budget, daily day-aligned boundaries, cold
+   solves and no fault reaction, bit for bit; its migration report
+   agrees with the daemon's own per-replan GB. *)
 let daemon_matches_daily_batch () =
   let sc = daemon_scenario () in
   let cfg =
@@ -337,7 +339,20 @@ let daemon_boundaries () =
       { cfg with Vod_serve.Daemon.react_to_faults = false }
       ~resil ~horizon_s:(10.0 *. day) ()
   in
-  Alcotest.(check int) "react off drops events" 3 (List.length no_react)
+  Alcotest.(check int) "react off drops events" 3 (List.length no_react);
+  (* A cadence that is not positive raises instead of looping forever
+     (zero or negative) or never ticking (NaN). *)
+  List.iter
+    (fun every ->
+      Alcotest.check_raises
+        (Printf.sprintf "update_every_s = %g" every)
+        (Invalid_argument "Daemon.boundaries: update_every_s must be positive")
+        (fun () ->
+          ignore
+            (Vod_serve.Daemon.boundaries
+               { cfg with Vod_serve.Daemon.update_every_s = every }
+               ~horizon_s:(10.0 *. day) ())))
+    [ 0.0; -1.0; Float.nan ]
 
 (* The loop's [serve/*] degradation counters count what the reference
    engine's [resil/*] counters of the same name count, per rejection

@@ -224,6 +224,18 @@ VOD_SCALE=quick dune exec --no-print-directory bench/main.exe -- daemon \
   echo "FAIL: daemon exhibit left no checkpoint metrics" >&2
   exit 1
 }
+echo "== failure bench exhibit vs its recorded output (quick scale) =="
+# The faulted pipeline path (MIP updates run as a daemon preset, cache
+# fleets through the serving loop) must reproduce the recorded exhibit
+# byte for byte; only the wall-clock "... in N.Ns" lines may differ.
+VOD_SCALE=quick dune exec --no-print-directory bench/main.exe -- --jobs 1 failure \
+  | grep -vE ' in [0-9]+\.[0-9]+s[].]?$' > "$smoke_dir/failure.out"
+grep -vE ' in [0-9]+\.[0-9]+s[].]?$' bench/recorded/bench_output_quick_failure.txt \
+  > "$smoke_dir/failure.recorded"
+if ! diff -u "$smoke_dir/failure.recorded" "$smoke_dir/failure.out"; then
+  echo "FAIL: quick failure exhibit differs from bench/recorded/bench_output_quick_failure.txt" >&2
+  exit 1
+fi
 echo "== decomp bench exhibit (quick scale, checkpointed) =="
 # The solver-backend race (exact-LP anchor + Benders-vs-EPF convergence)
 # must run end to end at quick scale; its checkpointed metrics feed the
